@@ -75,7 +75,7 @@ class SimCluster:
         self.trace = TraceRecorder(enabled=trace_enabled, bus=self.env.obs)
         self.network = Network(self.env, config.network)
         self.nodes: List[ComputeNode] = [
-            ComputeNode(self.env, self.network, rank, devs, trace=self.trace,
+            ComputeNode(self.env, self.network, rank, devs,
                         device_overlap=config.device_overlap)
             for rank, devs in enumerate(config.nodes)
         ]

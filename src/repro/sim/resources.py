@@ -162,8 +162,8 @@ class Store:
     def put_nowait(self, item: Any) -> None:
         """Insert ``item`` synchronously, with no queue event.
 
-        Valid only when the store has room and no queued putters — callers
-        (the network delivery fast path) check both.  Waiting getters are
+        Valid only when the store has room and no queued putters — always
+        true of the network's unbounded mailboxes.  Waiting getters are
         satisfied exactly as a queued :meth:`put` would have, in the same
         order, just without the intermediate ``_StorePut`` event.
         """

@@ -1,13 +1,14 @@
-"""A/B regression tests for the zero-process fast paths.
+"""Regression tests for the batched leaf path and engine/network edges.
 
-The contract (docs/performance.md): the transmit fast path, the
-zero-process protocol chains, and the batched leaf path each replay the
-reference generators' event structure *exactly* — same events, same heap
-slots, same virtual times — so every seeded obs event stream is
-byte-identical with the fast paths on or off, and ``events_processed``
-matches too.  ``Network.fast_transmit = False`` is the single switch that
-restores the full reference behavior (the protocol chains check it per
-message).
+The contract (docs/performance.md): ``leaf_batch`` changes only the
+host-side cost of computing leaf values, never the simulation.  Every
+seeded obs event stream is byte-identical with batching on or off, and
+the batched values match the scalar ``App.leaf`` reference bit for bit —
+the scalar path stays the numeric reference, and it is the only path for
+the raytracer.  The message transport has one implementation, pinned by
+the golden stream hashes and ``events_processed`` counts in
+``test_obs_determinism`` and by the recorded schedules of
+``test_transmit_corpus``.
 """
 
 from __future__ import annotations
@@ -15,98 +16,18 @@ from __future__ import annotations
 import hashlib
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.apps.base import run_cashmere, run_satin
 from repro.apps.kmeans import KMeansApp
 from repro.apps.matmul import MatmulApp
 from repro.apps.nbody import NBodyApp
 from repro.apps.raytracer import RaytracerApp
-from repro.cluster.das4 import ClusterConfig, SimCluster
+from repro.cluster.das4 import ClusterConfig
 from repro.core.runtime import CashmereConfig
 from repro.satin.runtime import RuntimeConfig
 from repro.sim.engine import Environment, Timeout
 from repro.sim.network import QDR_INFINIBAND, Network
 from repro.sweep.spec import ClusterSpec
-
-
-# ----------------------------------------------------------------------
-# property: fast vs forced-slow transmit under random contention
-# ----------------------------------------------------------------------
-#: (src, dst, nbytes granularity, start-delay granularity, blocking?)
-_sends = st.lists(
-    st.tuples(st.integers(0, 2), st.integers(0, 2),
-              st.integers(0, 2 ** 20), st.integers(0, 200),
-              st.booleans()),
-    min_size=1, max_size=12,
-).filter(lambda sends: any(s != d for s, d, *_ in sends))
-
-
-def _run_schedule(sends, fast: bool):
-    """Run one randomized transfer schedule; return its full observable
-    state: obs stream, per-mailbox delivery order + message timings,
-    byte counters, and the engine's event count."""
-    env = Environment()
-    env.obs.enabled = True
-    net = Network(env, QDR_INFINIBAND)
-    net.fast_transmit = fast
-    endpoints = [net.attach(i) for i in range(3)]
-
-    def sender(src, dst, nbytes, delay_us, blocking):
-        yield Timeout(env, delay_us * 1e-6)
-        if blocking:
-            yield from net.transmit(endpoints[src], dst, "msg",
-                                    (src, dst, nbytes), float(nbytes))
-        else:
-            net.post(endpoints[src], dst, "msg",
-                     (src, dst, nbytes), float(nbytes))
-
-    for src, dst, nbytes, delay_us, blocking in sends:
-        if src == dst:
-            continue
-        env.process(sender(src, dst, nbytes, delay_us, blocking))
-    env.run()
-    mailboxes = [
-        [(m.src, m.tag, m.payload, m.nbytes, m.send_time, m.recv_time)
-         for m in ep.mailbox.items]
-        for ep in endpoints]
-    counters = [(ep.bytes_sent, ep.bytes_received, ep.messages_sent,
-                 ep.messages_received) for ep in endpoints]
-    return (env.obs.serialize(), mailboxes, counters, net.total_bytes,
-            env.events_processed)
-
-
-@settings(max_examples=60, deadline=None)
-@given(_sends)
-def test_transmit_fast_equals_slow(sends):
-    fast = _run_schedule(sends, fast=True)
-    slow = _run_schedule(sends, fast=False)
-    assert fast == slow
-
-
-# ----------------------------------------------------------------------
-# full-stack A/B: one switch restores the whole reference path
-# ----------------------------------------------------------------------
-def _satin_raytracer_state(force_slow: bool):
-    app = RaytracerApp(width=512, height=256, samples=4, leaf_rows=16)
-    cluster_config = ClusterSpec(kind="satin_cpu", num_nodes=4).build()
-    cluster = SimCluster(cluster_config, obs_enabled=True)
-    if force_slow:
-        # The one-switch reference path: slow transmit generators, slow
-        # protocol handler processes, dispatch loop instead of the pump.
-        cluster.network.fast_transmit = False
-    from repro.satin.runtime import SatinRuntime
-    runtime = SatinRuntime(cluster, app, RuntimeConfig(seed=42))
-    runtime.run(app.root_task())
-    return cluster.obs.serialize(), cluster.env.events_processed
-
-
-def test_satin_full_stack_fast_equals_slow():
-    fast_stream, fast_events = _satin_raytracer_state(force_slow=False)
-    slow_stream, slow_events = _satin_raytracer_state(force_slow=True)
-    assert fast_stream == slow_stream
-    assert fast_events == slow_events
 
 
 # ----------------------------------------------------------------------
@@ -204,20 +125,6 @@ def test_byte_counters_exact_for_integral_sizes():
     assert b.bytes_received == 2 ** 53 + 1
     assert net.total_bytes == 2 ** 53 + 1
     assert isinstance(a.bytes_sent, int)
-    # ... and the slow reference path charges identically.
-    env2 = Environment()
-    net2 = Network(env2, QDR_INFINIBAND)
-    net2.fast_transmit = False
-    a2, b2 = net2.attach(0), net2.attach(1)
-
-    def go2():
-        yield from net2.transmit(a2, 1, "big", None, float(2 ** 53))
-        yield from net2.transmit(a2, 1, "one", None, 1.0)
-
-    env2.process(go2())
-    env2.run()
-    assert (a2.bytes_sent, b2.bytes_received, net2.total_bytes) == \
-        (2 ** 53 + 1, 2 ** 53 + 1, 2 ** 53 + 1)
 
 
 # ----------------------------------------------------------------------

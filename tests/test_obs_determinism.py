@@ -14,6 +14,7 @@ iteration over ids, wall-clock leakage) shows up as a byte diff here.
 from __future__ import annotations
 
 import hashlib
+from typing import Tuple
 
 import pytest
 
@@ -107,7 +108,9 @@ def test_stream_is_replayable_json_lines():
 # streams *across* builds: any refactor of the spawn/sync machinery, the
 # scheduler, or the protocol chains that changes even one event is a
 # regression and must either be reverted or consciously re-golden-ed with
-# a changelog note.  Configs mirror tests/test_fastpath_ab.py.
+# a changelog note.  Each golden pins the stream's sha256 and the engine's
+# ``events_processed``: a change that adds or drops an event without
+# touching the stream (an inert filler pop, a spawned process) still shows.
 
 GOLDEN_STREAM_HASHES = {
     "kmeans":
@@ -122,8 +125,17 @@ GOLDEN_STREAM_HASHES = {
         "2c66bf9d77ecebeae8652198ff419d8cafbe5079cd73b8c68161ec6e81aa4a31",
 }
 
+GOLDEN_EVENTS_PROCESSED = {
+    "kmeans": 4694,
+    "matmul": 2509,
+    "nbody": 4070,
+    "raytracer": 2053,
+    "satin-raytracer": 9241,
+}
 
-def _golden_stream_hash(app_name: str) -> str:
+
+def _golden_run(app_name: str) -> Tuple[str, int]:
+    """(stream sha256, events_processed) of one golden configuration."""
     if app_name == "kmeans":
         app = KMeansApp(n_points=1 << 18, iterations=2, leaf_points=1 << 15)
     elif app_name == "matmul":
@@ -138,18 +150,39 @@ def _golden_stream_hash(app_name: str) -> str:
         _res, _rt, cluster = run_satin(
             app, cluster_config, app.root_task(),
             config=RuntimeConfig(seed=42), obs=True, return_runtime=True)
-        return hashlib.sha256(cluster.obs.serialize().encode()).hexdigest()
+        return _digest(cluster)
     _res, _rt, cluster = run_cashmere(
         app, _cluster(), app.root_task(),
         config=CashmereConfig(seed=42), obs=True, return_runtime=True)
-    return hashlib.sha256(cluster.obs.serialize().encode()).hexdigest()
+    return _digest(cluster)
+
+
+def _digest(cluster) -> Tuple[str, int]:
+    return (hashlib.sha256(cluster.obs.serialize().encode()).hexdigest(),
+            cluster.env.events_processed)
 
 
 @pytest.mark.parametrize("app_name", sorted(GOLDEN_STREAM_HASHES))
 def test_golden_stream_hashes(app_name):
-    assert _golden_stream_hash(app_name) == GOLDEN_STREAM_HASHES[app_name], (
+    stream_hash, events = _golden_run(app_name)
+    assert stream_hash == GOLDEN_STREAM_HASHES[app_name], (
         f"{app_name}: seeded obs stream changed — the runtime's event "
         f"structure is no longer byte-identical to the committed golden")
+    assert events == GOLDEN_EVENTS_PROCESSED[app_name], (
+        f"{app_name}: events_processed changed with an unchanged stream")
+
+
+#: a seeded crash run (TreeSum on 4 satin nodes, rank 2 dies at 20 ms):
+#: pins the crash paths — pump stop, cancelled transfers, orphan requeue
+GOLDEN_CRASH_RUN = (
+    "a9f06a187665c33bb2aad69300275213ad2c929aa9a51ad40c0d8fb1d442f889", 7700)
+
+
+def test_golden_crash_run():
+    from test_obs_fault_events import _crash_run
+
+    _result, _runtime, cluster = _crash_run(seed=3, crash_rank=2, delay=0.02)
+    assert _digest(cluster) == GOLDEN_CRASH_RUN
 
 
 # ---------------------------------------------------------------------------

@@ -35,8 +35,8 @@ def _two_node_layer(**layer_kwargs):
     layer = CommLayer(env, **layer_kwargs)
     ch0 = layer.attach(cluster.node(0).endpoint)
     ch1 = layer.attach(cluster.node(1).endpoint)
-    env.process(ch0.dispatch())
-    env.process(ch1.dispatch())
+    ch0.start_pump()
+    ch1.start_pump()
     return cluster, env, layer, ch0, ch1
 
 
@@ -134,7 +134,7 @@ def test_resolve_returns_false_for_unknown_request():
 
 def test_dispatch_drops_untyped_and_unhandled_traffic():
     """Raw app broadcasts (below-protocol) and typed messages without a
-    handler are both dropped, like the historical message loop."""
+    handler are both dropped by the channel's pump."""
     cluster, env, layer, ch0, ch1 = _two_node_layer()
     seen = []
     ch1.on(UserMessage, lambda msg: seen.append(msg.payload))
@@ -151,6 +151,27 @@ def test_dispatch_drops_untyped_and_unhandled_traffic():
 
     env.run(until=env.process(sender()))
     assert seen == ["hello"]
+
+
+def test_stop_pump_delivers_nothing_more():
+    """A stopped pump (node crash) runs no handler again: its armed getter
+    swallows the next message, later ones stay in the mailbox."""
+    cluster, env, layer, ch0, ch1 = _two_node_layer()
+    seen = []
+    ch1.on(UserMessage, lambda msg: seen.append(msg.payload))
+
+    def sender():
+        yield from ch0.send(1, UserMessage(payload="before"), nbytes=10)
+        yield env.timeout(1e-3)  # let the pump handle it and re-arm
+        ch1.stop_pump()
+        for payload in ("swallowed", "queued"):
+            yield from ch0.send(1, UserMessage(payload=payload), nbytes=10)
+
+    env.run(until=env.process(sender()))
+    env.run()
+    assert seen == ["before"]
+    mailbox = cluster.node(1).endpoint.mailbox
+    assert [m.payload.payload for m in mailbox.items] == ["queued"]
 
 
 # --------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim import Environment, Network, NetworkSpec, QDR_INFINIBAND, SimulationError
+from repro.sim import (Environment, Interrupt, Network, NetworkSpec, QDR_INFINIBAND,
+                       SimulationError)
 
 
 def make_net(num_nodes=2, spec=None):
@@ -156,3 +157,46 @@ def test_qdr_infiniband_is_fast():
     # The DAS-4 network: ~3.2 GB/s, microsecond latency.
     t = QDR_INFINIBAND.transfer_time(3.2e9)
     assert 1.0 < t < 1.01
+
+
+def test_interrupted_queued_transmit_withdraws_its_nic_claim():
+    """A blocking send interrupted while queued behind another transfer on
+    the same NIC must withdraw its claim: otherwise the dead claim is
+    granted later, never released, and every later send from that node
+    hangs.  Only delivered messages are counted."""
+    env, net, (a, b) = make_net()
+    outcome = {}
+
+    def first():
+        yield from a.send(1, "first", nbytes=1e9)  # holds the NIC for 1 s
+
+    def queued():
+        try:
+            yield from a.send(1, "cut", nbytes=1e9)
+        except Interrupt:
+            outcome["cut_at"] = env.now
+
+    def later():
+        yield env.timeout(2.0)
+        yield from a.send(1, "later", nbytes=1e9)
+        outcome["later_at"] = env.now
+
+    env.process(first())
+    victim = env.process(queued())
+
+    def interrupter():
+        yield env.timeout(0.5)
+        assert a.nic.queue_length == 1  # still waiting for the NIC
+        victim.interrupt("node crashed")
+
+    env.process(interrupter())
+    env.process(later())
+    env.run()
+    assert outcome["cut_at"] == pytest.approx(0.5)
+    assert a.nic.queue_length == 0 and a.nic.count == 0
+    assert outcome["later_at"] == pytest.approx(3.001)
+    assert [m.tag for m in b.mailbox.items] == ["first", "later"]
+    assert (a.messages_sent, b.messages_received, net.total_messages) == \
+        (2, 2, 2)
+    assert (a.bytes_sent, b.bytes_received, net.total_bytes) == \
+        (2 * 10 ** 9, 2 * 10 ** 9, 2 * 10 ** 9)

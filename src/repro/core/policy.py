@@ -28,7 +28,7 @@ fields, so one replay tool can audit every placement decision a run made.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Type, TypeVar
+from typing import Dict, List, Optional, Tuple, Type, TypeVar
 
 from ..obs.bus import EventBus
 
@@ -130,7 +130,3 @@ def policy_class(kind: str, name: str) -> Type[SchedulingPolicy]:
 def create_policy(kind: str, name: str, **kwargs: object) -> SchedulingPolicy:
     """Instantiate a registered policy by kind and name."""
     return policy_class(kind, name)(**kwargs)
-
-
-#: hook type for callers that want to enumerate both families
-PolicyFactory = Callable[..., SchedulingPolicy]

@@ -19,7 +19,9 @@ additionally receives the whole graph via the ``graph_*`` hooks.
 
 Observability: ``graph_node_ready`` / ``graph_node_dispatch`` /
 ``graph_node_complete`` point events, plus the usual ``h2d``/``d2h``/
-``kernel``/``send`` intervals and the policies' ``sched_decision`` events.
+``kernel``/``send`` intervals.  Graph runs emit no ``sched_decision``
+events; the placement is recorded on ``graph_node_dispatch`` (``chosen``
+lane, ``predicted_s``, ``policy``).
 """
 
 from __future__ import annotations

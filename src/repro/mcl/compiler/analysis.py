@@ -385,7 +385,7 @@ class _CostWalker:
 
     def _is_data_dependent(self, cond: ast.Expr, env: Dict[str, float]) -> bool:
         """A condition is data-dependent if it reads array contents or RNG state."""
-        for node in _walk(cond):
+        for node in ast.walk_exprs(cond):
             if isinstance(node, ast.Index):
                 return True
             if isinstance(node, ast.Var) and node.name not in env \
@@ -395,21 +395,6 @@ class _CostWalker:
                 if typ is not None and typ.base == "float":
                     return True
         return False
-
-
-def _walk(expr: ast.Expr):
-    yield expr
-    if isinstance(expr, ast.Binary):
-        yield from _walk(expr.left)
-        yield from _walk(expr.right)
-    elif isinstance(expr, ast.Unary):
-        yield from _walk(expr.operand)
-    elif isinstance(expr, ast.Call):
-        for a in expr.args:
-            yield from _walk(a)
-    elif isinstance(expr, ast.Index):
-        for i in expr.indices:
-            yield from _walk(i)
 
 
 def analyze_cost(info_or_kernel, params: Dict[str, Any]) -> KernelAnalysis:

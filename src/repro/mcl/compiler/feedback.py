@@ -44,87 +44,15 @@ class FeedbackItem:
         return f"[{self.level}] {self.code}: {self.message}"
 
 
-def _walk_stmts(stmt: ast.Stmt):
-    yield stmt
-    if isinstance(stmt, ast.Block):
-        for s in stmt.stmts:
-            yield from _walk_stmts(s)
-    elif isinstance(stmt, ast.Foreach):
-        yield from _walk_stmts(stmt.body)
-    elif isinstance(stmt, ast.For):
-        yield from _walk_stmts(stmt.body)
-    elif isinstance(stmt, ast.If):
-        yield from _walk_stmts(stmt.then)
-        if stmt.orelse is not None:
-            yield from _walk_stmts(stmt.orelse)
-    elif isinstance(stmt, ast.While):
-        yield from _walk_stmts(stmt.body)
-
-
-def _walk_exprs(stmt: ast.Stmt):
-    def from_expr(expr):
-        if expr is None:
-            return
-        yield expr
-        if isinstance(expr, ast.Binary):
-            yield from from_expr(expr.left)
-            yield from from_expr(expr.right)
-        elif isinstance(expr, ast.Unary):
-            yield from from_expr(expr.operand)
-        elif isinstance(expr, ast.Call):
-            for a in expr.args:
-                yield from from_expr(a)
-        elif isinstance(expr, ast.Index):
-            for i in expr.indices:
-                yield from from_expr(i)
-
-    for s in _walk_stmts(stmt):
-        if isinstance(s, ast.VarDecl):
-            yield from from_expr(s.init)
-        elif isinstance(s, ast.Assign):
-            yield from from_expr(s.target)
-            yield from from_expr(s.value)
-        elif isinstance(s, (ast.If, ast.While)):
-            yield from from_expr(s.cond)
-        elif isinstance(s, ast.For):
-            yield from from_expr(s.cond)
-        elif isinstance(s, ast.Foreach):
-            yield from from_expr(s.count)
-        elif isinstance(s, ast.ExprStmt):
-            yield from from_expr(s.expr)
-        elif isinstance(s, ast.Return):
-            yield from from_expr(s.value)
-
-
-def _vars_of(expr: ast.Expr) -> Set[str]:
-    out: Set[str] = set()
-
-    def rec(e):
-        if isinstance(e, ast.Var):
-            out.add(e.name)
-        elif isinstance(e, ast.Binary):
-            rec(e.left)
-            rec(e.right)
-        elif isinstance(e, ast.Unary):
-            rec(e.operand)
-        elif isinstance(e, ast.Call):
-            for a in e.args:
-                rec(a)
-        elif isinstance(e, ast.Index):
-            for i in e.indices:
-                rec(i)
-
-    rec(expr)
-    return out
-
-
 def _loop_vars(info: KernelInfo) -> Set[str]:
     """Variables of sequential for loops (candidates for data reuse)."""
-    out: Set[str] = set()
-    for s in _walk_stmts(info.kernel.body):
-        if isinstance(s, ast.For) and isinstance(s.init, ast.VarDecl):
-            out.add(s.init.name)
-    return out
+    return {s.init.name for s in ast.walk_stmts(info.kernel.body)
+            if isinstance(s, ast.For) and isinstance(s.init, ast.VarDecl)}
+
+
+def _reads_var(expr: ast.Expr, names: Set[str]) -> bool:
+    return any(isinstance(e, ast.Var) and e.name in names
+               for e in ast.walk_exprs(expr))
 
 
 def _reused_global_arrays(info: KernelInfo) -> Set[str]:
@@ -134,15 +62,10 @@ def _reused_global_arrays(info: KernelInfo) -> Set[str]:
     into local memory (a tile) removes redundant global traffic.
     """
     loops = _loop_vars(info)
-    if not loops:
-        return set()
-    reused: Set[str] = set()
-    for expr in _walk_exprs(info.kernel.body):
-        if isinstance(expr, ast.Index) and expr.array not in info.local_arrays:
-            for idx in expr.indices:
-                if _vars_of(idx) & loops:
-                    reused.add(expr.array)
-    return reused
+    return {expr.array for expr in ast.walk_exprs(info.kernel.body)
+            if isinstance(expr, ast.Index)
+            and expr.array not in info.local_arrays
+            and _reads_var(expr, loops)}
 
 
 def _uncoalesced_arrays(info: KernelInfo) -> Set[str]:
@@ -157,11 +80,11 @@ def _uncoalesced_arrays(info: KernelInfo) -> Set[str]:
     innermost = max(info.foreachs, key=lambda f: f.depth)
     tvar = innermost.stmt.var
     bad: Set[str] = set()
-    for expr in _walk_exprs(info.kernel.body):
+    for expr in ast.walk_exprs(info.kernel.body):
         if (isinstance(expr, ast.Index) and len(expr.indices) >= 2
                 and expr.array not in info.local_arrays):
             positions = [i for i, idx in enumerate(expr.indices)
-                         if tvar in _vars_of(idx)]
+                         if _reads_var(idx, {tvar})]
             if positions and max(positions) != len(expr.indices) - 1:
                 bad.add(expr.array)
     return bad
@@ -194,31 +117,9 @@ def _filter_small_arrays(info: KernelInfo, arrays: Set[str],
 
 
 def _has_data_dependent_flow(info: KernelInfo) -> bool:
-    for s in _walk_stmts(info.kernel.body):
-        if isinstance(s, (ast.If, ast.While)) and s.cond is not None:
-            for e in _ExprIter(s.cond):
-                if isinstance(e, ast.Index):
-                    return True
-    return False
-
-
-class _ExprIter:
-    def __init__(self, expr: ast.Expr):
-        self.expr = expr
-
-    def __iter__(self):
-        stack = [self.expr]
-        while stack:
-            e = stack.pop()
-            yield e
-            if isinstance(e, ast.Binary):
-                stack += [e.left, e.right]
-            elif isinstance(e, ast.Unary):
-                stack.append(e.operand)
-            elif isinstance(e, ast.Call):
-                stack += e.args
-            elif isinstance(e, ast.Index):
-                stack += e.indices
+    return any(isinstance(s, (ast.If, ast.While))
+               and any(isinstance(e, ast.Index) for e in ast.walk_exprs(s.cond))
+               for s in ast.walk_stmts(info.kernel.body))
 
 
 def get_feedback(info_or_kernel, params: Optional[Dict[str, Any]] = None

@@ -76,29 +76,13 @@ def _fresh_name(base: str, taken: set) -> str:
     return f"{base}{i}"
 
 
-def _names_in(kernel: ast.Kernel) -> set:
+def _declared_names(kernel: ast.Kernel) -> set:
     names = {p.name for p in kernel.params}
-
-    def rec(stmt):
-        if isinstance(stmt, ast.Block):
-            for s in stmt.stmts:
-                rec(s)
-        elif isinstance(stmt, ast.VarDecl):
+    for stmt in ast.walk_stmts(kernel.body):
+        if isinstance(stmt, ast.VarDecl):
             names.add(stmt.name)
         elif isinstance(stmt, ast.Foreach):
             names.add(stmt.var)
-            rec(stmt.body)
-        elif isinstance(stmt, ast.For):
-            rec(stmt.init)
-            rec(stmt.body)
-        elif isinstance(stmt, ast.If):
-            rec(stmt.then)
-            if stmt.orelse is not None:
-                rec(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            rec(stmt.body)
-
-    rec(kernel.body)
     return names
 
 
@@ -107,7 +91,7 @@ def _to_gpu(kernel: ast.Kernel, hd: HardwareDescription) -> ast.Kernel:
     kernel = copy.deepcopy(kernel)
     block = int(hd.param("max_block_threads", DEFAULT_BLOCK_SIZE) or DEFAULT_BLOCK_SIZE)
     block = min(block, DEFAULT_BLOCK_SIZE)
-    taken = _names_in(kernel)
+    taken = _declared_names(kernel)
 
     def transform(stmt: ast.Stmt) -> ast.Stmt:
         if isinstance(stmt, ast.Block):
@@ -162,7 +146,7 @@ def _to_mic(kernel: ast.Kernel, hd: HardwareDescription) -> ast.Kernel:
     kernel = copy.deepcopy(kernel)
     cores = int(hd.par_unit("cores").max_count or 60)
     hw_threads = int(hd.par_unit("threads").max_count or 4)
-    taken = _names_in(kernel)
+    taken = _declared_names(kernel)
 
     def transform(stmt: ast.Foreach) -> ast.Stmt:
         cvar = _fresh_name("mcl_c", taken)

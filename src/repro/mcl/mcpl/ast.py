@@ -9,13 +9,15 @@ and to derive work-group configurations and transfer sizes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import Dict, Iterator, List, Optional, Set, Tuple, Union
 
 __all__ = [
     "Type", "Param", "Kernel",
     "Expr", "IntLit", "FloatLit", "Var", "Index", "Binary", "Unary", "Call",
     "Stmt", "Block", "VarDecl", "Assign", "Foreach", "For", "If", "While",
     "Return", "Break", "Continue", "ExprStmt",
+    "Node", "child_exprs", "child_stmts", "walk_stmts", "walk_exprs",
+    "mentioned_names",
 ]
 
 
@@ -212,6 +214,90 @@ class Continue(Stmt):
 @dataclass
 class ExprStmt(Stmt):
     expr: Optional[Expr] = None
+
+
+# --------------------------------------------------------------------------
+# traversal
+# --------------------------------------------------------------------------
+
+Node = Union[Expr, Stmt]
+
+#: The fields of each node class that hold sub-trees, in source order.  A
+#: field holds one node, a list of nodes, or (``VarDecl.type``) a ``Type``
+#: whose dims are expressions.  Classes without sub-trees are absent.  Passes
+#: that only enumerate children go through the helpers below; per-node
+#: dispatchers (checker, interpreter, codegen, analyses) keep their own.
+_CHILD_FIELDS: Dict[type, Tuple[str, ...]] = {
+    Index: ("indices",),
+    Binary: ("left", "right"),
+    Unary: ("operand",),
+    Call: ("args",),
+    Block: ("stmts",),
+    VarDecl: ("type", "init"),
+    Assign: ("target", "value"),
+    Foreach: ("count", "body"),
+    For: ("init", "cond", "step", "body"),
+    If: ("cond", "then", "orelse"),
+    While: ("cond", "body"),
+    Return: ("value",),
+    ExprStmt: ("expr",),
+}
+
+
+def _children(node: Node) -> List[Node]:
+    out: List[Node] = []
+    for name in _CHILD_FIELDS.get(type(node), ()):
+        value = getattr(node, name)
+        if isinstance(value, Type):
+            out.extend(value.dims)
+        elif isinstance(value, list):
+            out.extend(value)
+        elif value is not None:
+            out.append(value)
+    return out
+
+
+def child_exprs(node: Node) -> List[Expr]:
+    """The direct sub-expressions of an expression or statement."""
+    return [c for c in _children(node) if isinstance(c, Expr)]
+
+
+def child_stmts(stmt: Stmt) -> List[Stmt]:
+    """The direct sub-statements of a statement, ``for`` header included."""
+    return [c for c in _children(stmt) if isinstance(c, Stmt)]
+
+
+def walk_stmts(stmt: Optional[Stmt]) -> Iterator[Stmt]:
+    """Pre-order over a statement and every statement nested in it."""
+    stack: List[Stmt] = [stmt] if stmt is not None else []
+    while stack:
+        s = stack.pop()
+        yield s
+        stack.extend(reversed(child_stmts(s)))
+
+
+def walk_exprs(node: Optional[Node]) -> Iterator[Expr]:
+    """Pre-order over every expression in an expression or statement tree.
+
+    Covers declaration dims and ``for`` init and step.
+    """
+    stack: List[Node] = [node] if node is not None else []
+    while stack:
+        n = stack.pop()
+        if isinstance(n, Expr):
+            yield n
+        stack.extend(reversed(_children(n)))
+
+
+def mentioned_names(node: Optional[Node]) -> Set[str]:
+    """The ``Var`` names and indexed array names in a tree."""
+    names: Set[str] = set()
+    for e in walk_exprs(node):
+        if isinstance(e, Var):
+            names.add(e.name)
+        elif isinstance(e, Index):
+            names.add(e.array)
+    return names
 
 
 # --------------------------------------------------------------------------

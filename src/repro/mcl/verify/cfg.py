@@ -103,25 +103,11 @@ class CFG:
         typ = self.info.symbols.get(name)
         return typ is not None and not typ.is_array
 
-
-def _scalar_uses(expr: Optional[ast.Expr], cfg: CFG, out: Set[str]) -> None:
-    """Collect scalar variable reads in an expression."""
-    if expr is None:
-        return
-    if isinstance(expr, ast.Var):
-        if cfg.is_scalar(expr.name):
-            out.add(expr.name)
-    elif isinstance(expr, ast.Binary):
-        _scalar_uses(expr.left, cfg, out)
-        _scalar_uses(expr.right, cfg, out)
-    elif isinstance(expr, ast.Unary):
-        _scalar_uses(expr.operand, cfg, out)
-    elif isinstance(expr, ast.Call):
-        for a in expr.args:
-            _scalar_uses(a, cfg, out)
-    elif isinstance(expr, ast.Index):
-        for i in expr.indices:
-            _scalar_uses(i, cfg, out)
+    def _add_uses(self, node: int, expr: Optional[ast.Expr]) -> None:
+        """Record the scalar variables ``expr`` reads at ``node``."""
+        self.nodes[node].uses.update(
+            e.name for e in ast.walk_exprs(expr)
+            if isinstance(e, ast.Var) and self.is_scalar(e.name))
 
 
 class _Builder:
@@ -153,39 +139,37 @@ class _Builder:
             cfg._edge(pred, node)
             assert stmt.type is not None
             for dim in stmt.type.dims:
-                _scalar_uses(dim, cfg, cfg.nodes[node].uses)
+                cfg._add_uses(node, dim)
             if stmt.type.is_array:
                 cfg._add_def(node, stmt.name, stmt.line, "decl", True, stmt)
             else:
-                _scalar_uses(stmt.init, cfg, cfg.nodes[node].uses)
+                cfg._add_uses(node, stmt.init)
                 cfg._add_def(node, stmt.name, stmt.line, "decl",
                              stmt.init is not None, stmt)
             return node
         if isinstance(stmt, ast.Assign):
             node = cfg._new_node("stmt", stmt=stmt, line=stmt.line)
             cfg._edge(pred, node)
-            uses = cfg.nodes[node].uses
-            _scalar_uses(stmt.value, cfg, uses)
+            cfg._add_uses(node, stmt.value)
             target = stmt.target
             if isinstance(target, ast.Var):
                 if stmt.op != "=":
-                    uses.add(target.name)
+                    cfg.nodes[node].uses.add(target.name)
                 if cfg.is_scalar(target.name):
                     cfg._add_def(node, target.name, stmt.line, "assign",
                                  True, stmt)
             elif isinstance(target, ast.Index):
-                for i in target.indices:
-                    _scalar_uses(i, cfg, uses)
+                cfg._add_uses(node, target)
             return node
         if isinstance(stmt, ast.ExprStmt):
             node = cfg._new_node("stmt", stmt=stmt, line=stmt.line)
             cfg._edge(pred, node)
-            _scalar_uses(stmt.expr, cfg, cfg.nodes[node].uses)
+            cfg._add_uses(node, stmt.expr)
             return node
         if isinstance(stmt, ast.Return):
             node = cfg._new_node("stmt", stmt=stmt, line=stmt.line)
             cfg._edge(pred, node)
-            _scalar_uses(stmt.value, cfg, cfg.nodes[node].uses)
+            cfg._add_uses(node, stmt.value)
             cfg._edge(node, cfg.exit)
             return None
         if isinstance(stmt, ast.Break):
@@ -200,7 +184,7 @@ class _Builder:
             cond = cfg._new_node("cond", stmt=stmt, expr=stmt.cond,
                                  line=stmt.line)
             cfg._edge(pred, cond)
-            _scalar_uses(stmt.cond, cfg, cfg.nodes[cond].uses)
+            cfg._add_uses(cond, stmt.cond)
             join = cfg._new_node("stmt", line=stmt.line)  # empty join node
             assert stmt.then is not None
             then_tail = self._stmt(stmt.then, cond)
@@ -217,7 +201,7 @@ class _Builder:
             cond = cfg._new_node("cond", stmt=stmt, expr=stmt.cond,
                                  line=stmt.line)
             cfg._edge(pred, cond)
-            _scalar_uses(stmt.cond, cfg, cfg.nodes[cond].uses)
+            cfg._add_uses(cond, stmt.cond)
             after = cfg._new_node("stmt", line=stmt.line)
             cfg._edge(cond, after)
             self.loop_stack.append((after, cond))
@@ -235,7 +219,7 @@ class _Builder:
                                  line=stmt.line)
             if init_tail is not None:
                 cfg._edge(init_tail, cond)
-            _scalar_uses(stmt.cond, cfg, cfg.nodes[cond].uses)
+            cfg._add_uses(cond, stmt.cond)
             after = cfg._new_node("stmt", line=stmt.line)
             cfg._edge(cond, after)
             # continue jumps to the step, which loops back to the condition.
@@ -256,7 +240,7 @@ class _Builder:
             header = cfg._new_node("cond", stmt=stmt, expr=stmt.count,
                                    line=stmt.line)
             cfg._edge(pred, header)
-            _scalar_uses(stmt.count, cfg, cfg.nodes[header].uses)
+            cfg._add_uses(header, stmt.count)
             cfg._add_def(header, stmt.var, stmt.line, "loop", True, stmt)
             after = cfg._new_node("stmt", line=stmt.line)
             cfg._edge(header, after)

@@ -214,37 +214,8 @@ def _split_conjuncts(e: Optional[ast.Expr]) -> List[ast.Expr]:
     return [e]
 
 
-def _var_names(e: Optional[ast.Expr], out: Set[str]) -> None:
-    if e is None:
-        return
-    if isinstance(e, ast.Var):
-        out.add(e.name)
-    elif isinstance(e, ast.Binary):
-        _var_names(e.left, out)
-        _var_names(e.right, out)
-    elif isinstance(e, ast.Unary):
-        _var_names(e.operand, out)
-    elif isinstance(e, ast.Call):
-        for a in e.args:
-            _var_names(a, out)
-    elif isinstance(e, ast.Index):
-        out.add(e.array)
-        for i in e.indices:
-            _var_names(i, out)
-
-
-def _contains_load(e: Optional[ast.Expr]) -> bool:
-    if e is None:
-        return False
-    if isinstance(e, ast.Index):
-        return True
-    if isinstance(e, ast.Binary):
-        return _contains_load(e.left) or _contains_load(e.right)
-    if isinstance(e, ast.Unary):
-        return _contains_load(e.operand)
-    if isinstance(e, ast.Call):
-        return any(_contains_load(a) for a in e.args)
-    return False
+def _has_load(e: Optional[ast.Expr]) -> bool:
+    return any(isinstance(n, ast.Index) for n in ast.walk_exprs(e))
 
 
 class _Collector:
@@ -270,56 +241,23 @@ class _Collector:
                 dims=list(p.type.dims), n_defs=1)
 
     # -- expression facts ---------------------------------------------------
-    def _register_atoms(self, e: Optional[ast.Expr]) -> None:
-        """Record, for every sub-expression, which variables its printed
-        form mentions — the dependency set of the opaque atom it may
-        normalize to."""
-        if e is None or isinstance(e, (ast.IntLit, ast.FloatLit, ast.Var)):
-            return
-        deps: Set[str] = set()
-        _var_names(e, deps)
-        self.atom_deps[ATOM_PREFIX + str(e)] = deps
-        children: List[Optional[ast.Expr]] = []
-        if isinstance(e, ast.Binary):
-            children = [e.left, e.right]
-        elif isinstance(e, ast.Unary):
-            children = [e.operand]
-        elif isinstance(e, ast.Call):
-            children = list(e.args)
-        elif isinstance(e, ast.Index):
-            children = list(e.indices)
-        for c in children:
-            self._register_atoms(c)
-
     def expr(self, e: Optional[ast.Expr], write: bool = False) -> None:
-        if e is None:
-            return
-        self._register_atoms(e)
-        self._expr(e, write)
-
-    def _expr(self, e: ast.Expr, write: bool) -> None:
-        if isinstance(e, ast.Index):
-            self.accesses.append(_Access(
-                node=e, array=e.array, write=write, line=e.line,
-                foreachs=tuple(self.fstack)))
-            for i in e.indices:
-                self._expr(i, False)
-            return
-        if isinstance(e, ast.Binary):
-            if e.left is not None:
-                self._expr(e.left, False)
-            if e.right is not None:
-                self._expr(e.right, False)
-        elif isinstance(e, ast.Unary):
-            if e.operand is not None:
-                self._expr(e.operand, False)
-        elif isinstance(e, ast.Call):
-            if e.name == "barrier":
+        """Gather one expression's atoms, array accesses and barriers;
+        ``write`` marks the top node as the target of a store."""
+        for node in ast.walk_exprs(e):
+            if isinstance(node, ast.Index):
+                self.accesses.append(_Access(
+                    node=node, array=node.array, write=write and node is e,
+                    line=node.line, foreachs=tuple(self.fstack)))
+            elif isinstance(node, ast.Call) and node.name == "barrier":
                 self.barriers.append(_BarrierSite(
-                    line=e.line, conds=list(self.cstack),
+                    line=node.line, conds=list(self.cstack),
                     foreachs=tuple(self.fstack)))
-            for a in e.args:
-                self._expr(a, False)
+            if not isinstance(node, (ast.IntLit, ast.FloatLit, ast.Var)):
+                # the variables the printed form mentions: the dependency
+                # set of the opaque atom the sub-expression may normalize to
+                self.atom_deps[ATOM_PREFIX + str(node)] = \
+                    ast.mentioned_names(node)
 
     # -- statements ---------------------------------------------------------
     def _declare(self, decl: ast.VarDecl) -> None:
@@ -333,10 +271,9 @@ class _Collector:
             self.expr(d)
         if decl.init is not None:
             self.expr(decl.init)
-            deps: Set[str] = set()
-            _var_names(decl.init, deps)
-            self.taint_defs.append((decl.name, deps,
-                                    _contains_load(decl.init)))
+            self.taint_defs.append((decl.name,
+                                    ast.mentioned_names(decl.init),
+                                    _has_load(decl.init)))
 
     def stmt(self, s: Optional[ast.Stmt]) -> None:
         if s is None:
@@ -359,12 +296,11 @@ class _Collector:
                         self.scalar_writes.append(_ScalarWrite(
                             var=target.name, line=s.line,
                             foreachs=tuple(self.fstack)))
-                deps = set()
-                _var_names(s.value, deps)
+                deps = ast.mentioned_names(s.value)
                 if s.op != "=":
                     deps.add(target.name)
                 self.taint_defs.append((target.name, deps,
-                                        _contains_load(s.value)))
+                                        _has_load(s.value)))
         elif isinstance(s, ast.ExprStmt):
             self.expr(s.expr)
         elif isinstance(s, ast.Return):
@@ -464,10 +400,8 @@ class _RaceAnalysis:
                     or name in visiting:
                 return None
             visiting.add(name)
-            deps: Set[str] = set()
-            _var_names(facts.init, deps)
             inner: Dict[str, Poly] = {}
-            for dep in deps:
+            for dep in ast.mentioned_names(facts.init):
                 p = resolve(dep)
                 if p is not None:
                     inner[dep] = p
@@ -557,9 +491,8 @@ class _RaceAnalysis:
             return True        # declared outside the foreach body
         if facts.kind == "local" and facts.n_defs == 1 \
                 and facts.init is not None:
-            deps: Set[str] = set()
-            _var_names(facts.init, deps)
-            return all(self._is_uniform(d, fid) for d in deps)
+            return all(self._is_uniform(d, fid)
+                       for d in ast.mentioned_names(facts.init))
         return False
 
     # -- bounds over independent symbols -------------------------------------
@@ -909,13 +842,11 @@ class _RaceAnalysis:
                 if innermost in scope.outer or fid == innermost:
                     divergent_sources.add(scope.var)
             for cond, _ in site.conds:
-                if _contains_load(cond):
+                if _has_load(cond):
                     self._report_divergence(findings, site, cond)
                     break
-                names: Set[str] = set()
-                _var_names(cond, names)
                 tainted = set()
-                for nm in names:
+                for nm in ast.mentioned_names(cond):
                     tainted |= taint.get(nm, set())
                 if tainted & divergent_sources:
                     self._report_divergence(findings, site, cond)

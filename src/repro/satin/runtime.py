@@ -100,9 +100,6 @@ class RuntimeConfig:
     #: a steal round polls every victim in random order (Satin's behavior);
     #: False limits each round to a single random victim (ablation)
     steal_sweep: bool = True
-    #: workers keep stealing after the root result is in (they are stopped
-    #: by the runtime); bound their total count of backoff loops per run
-    max_failed_steals: Optional[int] = None
     #: run the MCPL static verifier (:mod:`repro.mcl.verify`) over every
     #: registered kernel version before the run starts and refuse to run
     #: when an unsuppressed error-severity finding remains.  Ignored by the
@@ -409,7 +406,6 @@ class SatinRuntime:
         even across hours of virtual time.
         """
         policy = self.steal_policy
-        failed = 0
         backoff = policy.initial_backoff(self.config)
         deque = self.deques[node.rank]
         try:
@@ -418,14 +414,9 @@ class SatinRuntime:
                 if job is None and len(self.cluster.alive_nodes()) > 1:
                     job = yield from self._try_steal(node)
                 if job is not None:
-                    failed = 0
                     backoff = policy.initial_backoff(self.config)
                     yield from self._execute_job(node, job)
                     continue
-                failed += 1
-                limit = self.config.max_failed_steals
-                if limit is not None and failed >= limit:
-                    return
                 # Sleep until the backoff expires or local work arrives.
                 wait_ev = deque.wait()
                 if wait_ev.triggered:

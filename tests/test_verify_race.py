@@ -46,6 +46,21 @@ def test_mcl101_triggers_on_offset_overlap():
     assert "MCL101" in codes(src)
 
 
+def test_mcl101_subscript_inside_store_target_is_a_read():
+    # Only the outermost subscript of a store target is written: every
+    # iteration writes a[b[0]] (a race on a) but merely reads b[0].
+    src = """
+    perfect void f(int n, float[n] a, int[n] b) {
+      foreach (int i in n threads) {
+        a[b[0]] = 1.0;
+      }
+    }
+    """
+    racy = [f.message for f in findings_for(src, "MCL101")]
+    assert any("'a'" in m for m in racy)
+    assert not any("'b'" in m for m in racy)
+
+
 def test_mcl101_clean_on_identity_subscript():
     src = """
     perfect void f(int n, float[n] a) {

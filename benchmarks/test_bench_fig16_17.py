@@ -2,7 +2,9 @@
 
 from conftest import record
 
+from repro.core.gantt import span
 from repro.experiments import run_experiment
+from repro.obs.export import busy_time
 
 
 def test_fig16_17(benchmark):
@@ -13,6 +15,6 @@ def test_fig16_17(benchmark):
     assert result.extra["k20_jobs"] > 2 * result.extra["phi_jobs"]
     assert result.extra["phi_jobs"] > 0
     # Fig. 17: kernel execution is sustained across the whole run.
-    trace = result.extra["trace"]
-    assert trace.utilization(
-        max(("node0/gtx480[0]/kernel",), key=len)) > 0.7
+    events = result.extra["events"]
+    lane = "node0/gtx480[0]/kernel"
+    assert busy_time(events, ("kernel",), lane) / span(events) > 0.7

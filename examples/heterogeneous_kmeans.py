@@ -18,7 +18,7 @@ import numpy as np
 from repro.apps.base import run_cashmere
 from repro.apps.kmeans import KMeansApp, reference_kmeans_iteration, small_app
 from repro.cluster import ClusterConfig
-from repro.core import gantt_zoomed
+from repro.core.gantt import gantt_zoomed, span
 from repro.core.runtime import CashmereConfig
 
 MINI_DAS4 = ClusterConfig(
@@ -54,7 +54,7 @@ def show_heterogeneous_schedule():
                     leaf_points=1 << 18)
     result, runtime, cluster = run_cashmere(
         app, MINI_DAS4, app.root_task(),
-        config=CashmereConfig(seed=7), trace=True, return_runtime=True)
+        config=CashmereConfig(seed=7), obs=True, return_runtime=True)
 
     print("2) paper-scale run — device workloads:")
     for node in cluster.nodes:
@@ -70,10 +70,10 @@ def show_heterogeneous_schedule():
           f"{k20.launch_counts['kmeans']} : {phi.launch_counts['kmeans']} "
           f"(the Phi is {ratio:.1f}x slower)")
 
-    span = cluster.trace.span()
+    t = span(cluster.obs)
     print("\n   Gantt chart of the shared node (mid-run zoom, cf. Fig. 16):")
-    print(gantt_zoomed(cluster.trace, [shared.name],
-                       t0=span * 0.4, t1=span * 0.6, width=90))
+    print(gantt_zoomed(cluster.obs, [shared.name],
+                       t0=t * 0.4, t1=t * 0.6, width=90))
     stats = result.stats
     print(f"\n   makespan {stats.makespan_s:.3f} s simulated, "
           f"{stats.total_leaves} leaves, {stats.gflops():.0f} GFLOPS")

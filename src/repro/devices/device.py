@@ -136,19 +136,5 @@ class SimDevice:
                          device=self.spec.name, flops=profile.flops)
         return duration
 
-    # -- scheduler support ---------------------------------------------------
-    def predict_time(self, kernel_name: str, fallback_reference: float,
-                     reference_speed: float) -> float:
-        """Predicted execution time for a kernel on this device.
-
-        Uses the measured time when one exists; otherwise scales a reference
-        time by the static speed table (a device with twice the speed rating
-        is assumed to take half as long), per Sec. III-B.
-        """
-        measured = self.measured_times.get(kernel_name)
-        if measured is not None:
-            return measured
-        return fallback_reference * reference_speed / self.spec.static_speed
-
     def __repr__(self) -> str:
         return f"<SimDevice {self.lane}>"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from ..apps.base import run_cashmere
 from ..cluster.das4 import heterogeneous_kmeans
-from ..core.gantt import gantt_overview, gantt_zoomed, kernel_lanes
+from ..core.gantt import bars, gantt_overview, gantt_zoomed, kernel_lanes, span
 from ..core.runtime import CashmereConfig
 from .harness import ExperimentResult, experiment
 from .scalability import APP_BUILDERS
@@ -20,12 +20,12 @@ __all__ = ["fig16_17", "run_traced_kmeans"]
 
 
 def run_traced_kmeans(seed: int = 42):
-    """Heterogeneous k-means with activity tracing enabled."""
+    """Heterogeneous k-means with the event bus on."""
     config = heterogeneous_kmeans()
     app = APP_BUILDERS["k-means"](False)
     result, runtime, cluster = run_cashmere(
         app, config, app.root_task(), optimized=True,
-        config=CashmereConfig(seed=seed), trace=True, return_runtime=True)
+        config=CashmereConfig(seed=seed), obs=True, return_runtime=True)
     return result, runtime, cluster
 
 
@@ -33,7 +33,7 @@ def run_traced_kmeans(seed: int = 42):
 def fig16_17(seed: int = 42, width: int = 100) -> ExperimentResult:
     """Both Gantt charts plus the K20/Phi job-split evidence."""
     result, runtime, cluster = run_traced_kmeans(seed=seed)
-    trace = cluster.trace
+    bus = cluster.obs
 
     # The node carrying both a K20 and a Xeon Phi (node 16's role in the
     # paper), plus one GTX480 node (node 3's role).
@@ -41,11 +41,11 @@ def fig16_17(seed: int = 42, width: int = 100) -> ExperimentResult:
                     if set(n.device_names) == {"k20", "xeon_phi"})
     gtx_node = next(n for n in cluster.nodes if n.device_names == ["gtx480"])
 
-    span = trace.span()
-    t0, t1 = span * 0.45, span * 0.55  # mid-run zoom window
-    zoomed = gantt_zoomed(trace, [gtx_node.name, phi_node.name],
+    t = span(bus)
+    t0, t1 = t * 0.45, t * 0.55  # mid-run zoom window
+    zoomed = gantt_zoomed(bus, [gtx_node.name, phi_node.name],
                           t0=t0, t1=t1, width=width)
-    overview = gantt_overview(trace, width=width)
+    overview = gantt_overview(bus, width=width)
 
     k20 = next(d for d in phi_node.devices if d.spec.name == "k20")
     phi = next(d for d in phi_node.devices if d.spec.name == "xeon_phi")
@@ -53,8 +53,8 @@ def fig16_17(seed: int = 42, width: int = 100) -> ExperimentResult:
     phi_jobs = phi.launch_counts.get("kmeans", 0)
 
     rows = [
-        ["kernel lanes", len(kernel_lanes(trace))],
-        ["trace activities", len(trace.activities)],
+        ["kernel lanes", len(kernel_lanes(bus))],
+        ["trace activities", sum(1 for _ in bars(bus))],
         ["makespan (s)", round(result.stats.makespan_s, 2)],
         [f"{phi_node.name} k20 jobs", k20_jobs],
         [f"{phi_node.name} xeon_phi jobs", phi_jobs],
@@ -68,10 +68,8 @@ def fig16_17(seed: int = 42, width: int = 100) -> ExperimentResult:
         extra={
             "fig16": zoomed,
             "fig17": overview,
-            "trace": trace,
-            #: the raw event stream behind the Gantt charts — the trace
-            #: recorder is just one subscriber of this bus
-            "events": list(cluster.obs.events),
+            #: the raw event stream the Gantt charts are drawn from
+            "events": list(bus.events),
             "k20_jobs": k20_jobs,
             "phi_jobs": phi_jobs,
         },

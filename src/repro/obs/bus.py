@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 __all__ = ["ObsEvent", "EventBus", "INTERVAL_KINDS", "POINT_KINDS"]
 
@@ -122,12 +122,10 @@ class ObsEvent:
 
 
 class EventBus:
-    """Ordered stream of :class:`ObsEvent` records plus live subscribers.
+    """Ordered stream of :class:`ObsEvent` records.
 
     The bus is *disabled* by default: ``emit()`` is then a constant-time
     no-op, so instrumented code paths cost nothing in ordinary runs.
-    Subscribers (e.g. :class:`repro.sim.trace.TraceRecorder`) are invoked
-    synchronously on every emitted event.
     """
 
     def __init__(self, clock: Optional[Callable[[], float]] = None,
@@ -136,7 +134,6 @@ class EventBus:
         self.enabled = enabled
         self.events: List[ObsEvent] = []
         self._seq = itertools.count()
-        self._subscribers: List[Callable[[ObsEvent], None]] = []
 
     # -- configuration -----------------------------------------------------
     def enable(self) -> "EventBus":
@@ -146,14 +143,6 @@ class EventBus:
     def disable(self) -> "EventBus":
         self.enabled = False
         return self
-
-    def subscribe(self, callback: Callable[[ObsEvent], None]) -> None:
-        """Register a live consumer; called synchronously per event."""
-        self._subscribers.append(callback)
-
-    def unsubscribe(self, callback: Callable[[ObsEvent], None]) -> None:
-        if callback in self._subscribers:
-            self._subscribers.remove(callback)
 
     # -- emission ----------------------------------------------------------
     def emit(self, kind: str, node: Optional[int] = None,
@@ -166,8 +155,6 @@ class EventBus:
                       node=node, lane=lane, start=start, end=end,
                       fields=fields)
         self.events.append(ev)
-        for callback in self._subscribers:
-            callback(ev)
         return ev
 
     # -- queries -----------------------------------------------------------
@@ -199,7 +186,3 @@ class EventBus:
         determinism regression tests enforce.
         """
         return "\n".join(ev.serialize() for ev in self.events)
-
-    @staticmethod
-    def serialize_events(events: Iterable[ObsEvent]) -> str:
-        return "\n".join(ev.serialize() for ev in events)

@@ -18,7 +18,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..util.tables import format_table
 from .bus import EventBus, ObsEvent
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, _histogram_entry
 
 __all__ = ["chrome_trace", "write_chrome_trace", "metrics_summary",
            "overlap_fraction", "busy_time", "CATEGORIES"]
@@ -212,9 +212,11 @@ def metrics_summary(registry: MetricsRegistry,
                 rows.append([name, metric.kind, "-", 0.0])
         elif isinstance(metric, Histogram):
             for key, samples in metric.items():
-                summary = (f"n={len(samples)} min={min(samples):.4g} "
-                           f"p50={sorted(samples)[len(samples) // 2]:.4g} "
-                           f"max={max(samples):.4g}") if samples else "n=0"
+                # the snapshot's figures, so p50 follows Histogram.quantile
+                entry = _histogram_entry(samples)
+                summary = "n=0" if not samples else (
+                    f"n={entry['count']} min={entry['min']:.4g} "
+                    f"p50={entry['p50']:.4g} max={entry['max']:.4g}")
                 rows.append([name, metric.kind, _fmt_labels(key), summary])
     return format_table(["metric", "type", "labels", "value"], rows,
                         title=title)

@@ -88,9 +88,6 @@ class ClusterPool:
             node.job_id = None
             node.is_master = False
 
-    def lease_of(self, job_id: int) -> List[PoolNode]:
-        return self.leases.get(job_id, [])
-
     # -- liveness (churn) --------------------------------------------------
     def fail(self, rank: int) -> PoolNode:
         """Mark one pool node dead; it stops being allocatable."""

@@ -152,10 +152,6 @@ class Store:
         ev.env_store = self
         return ev
 
-    def cancel_get(self, ev: _StoreGet) -> None:
-        if ev in self._getters:
-            self._getters.remove(ev)
-
     def _insert(self, item: Any) -> None:
         self.items.append(item)
 

@@ -25,6 +25,7 @@ from repro.apps.nbody import NBodyApp
 from repro.apps.raytracer import RaytracerApp
 from repro.cluster.das4 import ClusterConfig
 from repro.core.runtime import CashmereConfig
+from repro.obs.bus import INTERVAL_KINDS
 from repro.satin.runtime import RuntimeConfig
 from repro.sweep.spec import ClusterSpec
 
@@ -136,6 +137,11 @@ GOLDEN_EVENTS_PROCESSED = {
 
 def _golden_run(app_name: str) -> Tuple[str, int]:
     """(stream sha256, events_processed) of one golden configuration."""
+    return _digest(_golden_cluster(app_name))
+
+
+def _golden_cluster(app_name: str):
+    """The finished cluster of one golden configuration (bus on)."""
     if app_name == "kmeans":
         app = KMeansApp(n_points=1 << 18, iterations=2, leaf_points=1 << 15)
     elif app_name == "matmul":
@@ -150,11 +156,11 @@ def _golden_run(app_name: str) -> Tuple[str, int]:
         _res, _rt, cluster = run_satin(
             app, cluster_config, app.root_task(),
             config=RuntimeConfig(seed=42), obs=True, return_runtime=True)
-        return _digest(cluster)
+        return cluster
     _res, _rt, cluster = run_cashmere(
         app, _cluster(), app.root_task(),
         config=CashmereConfig(seed=42), obs=True, return_runtime=True)
-    return _digest(cluster)
+    return cluster
 
 
 def _digest(cluster) -> Tuple[str, int]:
@@ -170,6 +176,23 @@ def test_golden_stream_hashes(app_name):
         f"structure is no longer byte-identical to the committed golden")
     assert events == GOLDEN_EVENTS_PROCESSED[app_name], (
         f"{app_name}: events_processed changed with an unchanged stream")
+
+
+@pytest.mark.parametrize("app_name", sorted(GOLDEN_STREAM_HASHES))
+def test_interval_events_are_well_formed(app_name):
+    """Every event of an interval kind carries a lane and an interval that
+    ends when it is emitted: ``start <= end == ts``.  The Gantt charts and
+    ``obs.export.busy_time`` read these intervals as they are."""
+    bus = _golden_cluster(app_name).obs
+    intervals = [ev for ev in bus if ev.kind in INTERVAL_KINDS]
+    assert intervals
+    bad = [ev.to_dict() for ev in intervals
+           if ev.lane is None or ev.start is None or ev.end is None
+           or not ev.start <= ev.end == ev.ts]
+    assert not bad, f"{app_name}: {len(bad)} malformed, first {bad[0]}"
+    # and no point event carries half an interval
+    assert not [ev for ev in bus if ev.kind not in INTERVAL_KINDS
+                and (ev.start is not None or ev.end is not None)]
 
 
 #: a seeded crash run (TreeSum on 4 satin nodes, rank 2 dies at 20 ms):

@@ -22,7 +22,7 @@ except ImportError:  # pragma: no cover - hypothesis is in the CI image
     pytest.skip("hypothesis not installed", allow_module_level=True)
 
 from repro.obs.bus import EventBus, ObsEvent
-from repro.obs.export import chrome_trace
+from repro.obs.export import chrome_trace, metrics_summary
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 # ---------------------------------------------------------------------------
@@ -114,6 +114,16 @@ def test_histogram_quantile_domain(q):
 
 def test_empty_histogram_quantile_is_none():
     assert Histogram("test_hist").quantile(0.5) is None
+
+
+def test_metrics_summary_p50_uses_the_quantile_rule():
+    reg = MetricsRegistry()
+    h = reg.histogram("lat_s")
+    for v in (1.0, 2.0, 3.0, 10.0):
+        h.observe(v)
+    assert h.quantile(0.5) == 2.5
+    assert reg.snapshot()["lat_s"]["values"]["-"]["p50"] == 2.5
+    assert "n=4 min=1 p50=2.5 max=10" in metrics_summary(reg)
 
 
 # ---------------------------------------------------------------------------

@@ -20,22 +20,27 @@ left-hand side is not a plain variable (``if (jj + x / 4 < n)``) are kept
 as *facts* keyed by the expression's polynomial normal form and matched
 against subscripts that differ from the guarded expression by a constant.
 
-The analysis also records every array access with the intervals of its
-subscripts — the input of the bounds lint — and the symbolic iteration
-ranges of all loops, which the race detector reuses.
+The analysis records every array access with the intervals of its
+subscripts — the input of the bounds lint.
+
+Cost: a loop's fixpoint runs its body a few times, and an inner loop's
+fixpoint runs in every one of them.  Outside the recording pass a loop
+therefore reuses a *summary* per distinct entry environment — the output
+intervals of the names the loop reads, writes or declares — which keeps
+the work linear in loop depth (see docs/lint.md, "Cost").
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo
 from .poly import Poly, expr_to_poly
 
-__all__ = ["Interval", "AccessRecord", "LoopRange", "IntervalAnalysis",
+__all__ = ["Interval", "AccessRecord", "IntervalAnalysis",
            "analyze_intervals"]
 
 _MAX_CANDIDATES = 4
@@ -59,7 +64,7 @@ class Interval:
 
     @staticmethod
     def top() -> "Interval":
-        return Interval((), ())
+        return _TOP
 
     @staticmethod
     def exact(p: Poly) -> "Interval":
@@ -92,8 +97,13 @@ class Interval:
         return any(_provable_le(hi, limit) for hi in self.his)
 
 
+_TOP = Interval()
+
+
 def join(a: Interval, b: Interval) -> Interval:
     """Least-ish upper bound: keep candidates that dominate the other side."""
+    if a is b:
+        return a
     los = []
     for lo in a.los:
         if any(_provable_le(lo, lo2) for lo2 in b.los):
@@ -154,8 +164,7 @@ def _floordiv_hi(hi: Poly, divisor: Poly) -> Optional[Poly]:
     if c is not None and c > 0:
         hc = hi.constant_value()
         if hc is not None:
-            q = hc / c
-            return Poly.const(q.numerator // q.denominator)
+            return Poly.const(hc // c)
         return hi.scale(Fraction(1, 1) / c)
     syms = list(divisor.terms.keys())
     if len(syms) == 1 and len(syms[0]) == 1 and divisor.terms[syms[0]] == 1:
@@ -187,29 +196,21 @@ class AccessRecord:
     facts: List[Tuple[Poly, Poly]] = field(default_factory=list)
 
 
-@dataclass
-class LoopRange:
-    """Symbolic iteration range of one foreach/for loop variable."""
-
-    var: str
-    stmt: ast.Stmt
-    interval: Interval
-    #: trip count as a constant, when statically known (foreach literals)
-    const_count: Optional[int] = None
-
-
 Env = Dict[str, Interval]
 Facts = List[Tuple[Poly, Poly]]
 
 
 class IntervalAnalysis:
-    """Structured abstract interpreter producing access/loop records."""
+    """Structured abstract interpreter producing access records."""
 
     def __init__(self, info: KernelInfo):
         self.info = info
         self.record = True
         self.accesses: List[AccessRecord] = []
-        self.loop_ranges: Dict[int, LoopRange] = {}   #: id(stmt) -> range
+        #: id(loop body) -> the names its fixpoint reads, writes or declares
+        self._loop_names: Dict[int, Tuple[str, ...]] = {}
+        #: (id(loop body), entry intervals of its names) -> output intervals
+        self._summaries: Dict[tuple, Tuple[Optional[Interval], ...]] = {}
         # int parameters never assigned in the body are runtime *constants*:
         # their own symbol is always an exact bound, whatever branch
         # refinements or widening did to their environment interval.
@@ -373,10 +374,6 @@ class IntervalAnalysis:
         self._apply_le(env, facts, left, right, strict=(op == "<"))
         if op == "==":
             self._apply_le(env, facts, right, left, strict=False)
-        elif op == "<=" or op == "<":
-            pass
-        if op == "==":
-            pass
         else:
             # also refine the RHS variable's lower bound: right > left
             self._apply_ge(env, right, left, strict=(op == "<"))
@@ -414,10 +411,10 @@ class IntervalAnalysis:
     # -- access recording ---------------------------------------------------
     def _record_access(self, node: ast.Index, env: Env, facts: Facts,
                        write: bool) -> None:
-        for idx in node.indices:
-            self.eval(idx, env, facts)   # record nested accesses
         if not self.record:
             return
+        for idx in node.indices:
+            self.eval(idx, env, facts)   # record nested accesses
         rec = AccessRecord(array=node.array, node=node, line=node.line,
                            write=write, facts=list(facts))
         for idx in node.indices:
@@ -454,14 +451,12 @@ class IntervalAnalysis:
                 return env
             assert isinstance(target, ast.Var)
             if stmt.op != "=":
-                current = env.get(target.name, Interval.top())
                 fake = ast.Binary(op=stmt.op[:-1], left=target,
                                   right=stmt.value, line=stmt.line)
                 prev_record = self.record
                 self.record = False
                 value = self._eval_binary(fake, env, facts)
                 self.record = prev_record
-                del current
             if target.name in self.info.symbols \
                     and not self.info.symbols[target.name].is_array:
                 env[target.name] = value
@@ -483,83 +478,114 @@ class IntervalAnalysis:
                 if stmt.orelse is not None else e_env
             return self._join_env(out_t, out_e)
         if isinstance(stmt, ast.While):
-            return self._loop(stmt, stmt.cond, stmt.body, None, env, facts,
-                              loop_var=None)
+            return self._loop(stmt.cond, stmt.body, None, env, facts)
         if isinstance(stmt, ast.For):
             env = self._stmt(stmt.init, env, facts)
-            var = None
-            if isinstance(stmt.init, ast.VarDecl):
-                var = stmt.init.name
-            elif isinstance(stmt.init, ast.Assign) \
-                    and isinstance(stmt.init.target, ast.Var):
-                var = stmt.init.target.name
-            return self._loop(stmt, stmt.cond, stmt.body, stmt.step, env,
-                              facts, loop_var=var)
+            return self._loop(stmt.cond, stmt.body, stmt.step, env, facts)
         if isinstance(stmt, ast.Foreach):
             count = self.eval(stmt.count, env, facts)
             env = dict(env)
-            iv = Interval((Poly.const(0),),
-                          tuple(hi - Poly.const(1) for hi in count.his))
-            env[stmt.var] = iv
-            const_count = None
-            if isinstance(stmt.count, ast.IntLit):
-                const_count = stmt.count.value
+            env[stmt.var] = Interval(
+                (Poly.const(0),), tuple(hi - Poly.const(1) for hi in count.his))
             assert stmt.body is not None
-            self.loop_ranges[id(stmt)] = LoopRange(
-                var=stmt.var, stmt=stmt, interval=iv,
-                const_count=const_count)
             out = self._loop_body_fix(stmt.body, env, facts, None, None,
-                                      pinned={stmt.var: iv})
+                                      pinned=(stmt.var,))
             return self._join_env(env, out)
         raise TypeError(f"unknown statement {stmt!r}")  # pragma: no cover
 
     # -- loops --------------------------------------------------------------
-    def _loop(self, stmt: ast.Stmt, cond: Optional[ast.Expr],
-              body: Optional[ast.Stmt], step: Optional[ast.Stmt],
-              env: Env, facts: Facts, loop_var: Optional[str]) -> Env:
+    def _loop(self, cond: Optional[ast.Expr], body: Optional[ast.Stmt],
+              step: Optional[ast.Stmt], env: Env, facts: Facts) -> Env:
         assert body is not None
-        out = self._loop_body_fix(body, env, facts, cond, step, pinned={})
-        if loop_var is not None and loop_var in out:
-            t_env, _ = self.refine(out, facts, cond, True)
-            self.loop_ranges[id(stmt)] = LoopRange(
-                var=loop_var, stmt=stmt,
-                interval=t_env.get(loop_var, Interval.top()))
+        out = self._loop_body_fix(body, env, facts, cond, step)
         # After the loop the negated condition holds (if it simply exited).
         post, _ = self.refine(self._join_env(env, out), facts, cond, False)
         return post
 
     def _loop_body_fix(self, body: ast.Stmt, env: Env, facts: Facts,
                        cond: Optional[ast.Expr], step: Optional[ast.Stmt],
-                       pinned: Dict[str, Interval]) -> Env:
-        """Bounded fixpoint with per-bound widening, then a recording pass."""
+                       pinned: Tuple[str, ...] = ()) -> Env:
+        """The loop's output environment; a summary when not recording.
+
+        A non-recording pass never adds an access and never lets a fact
+        reach the environment, so its output is a function of the body and
+        the entry intervals of the names the loop mentions; every other
+        name passes through unchanged.
+        """
+        if self.record:
+            return self._fixpoint(body, env, facts, cond, step, pinned)
+        names = self._names_of(body, cond, step)
+        key = (id(body), tuple(env.get(name) for name in names))
+        summary = self._summaries.get(key)
+        if summary is None:
+            out = self._fixpoint(body, env, facts, cond, step, pinned)
+            summary = tuple(out.get(name) for name in names)
+            self._summaries[key] = summary
+        result = dict(env)
+        result.update((name, iv) for name, iv in zip(names, summary)
+                      if iv is not None)
+        return result
+
+    def _names_of(self, body: ast.Stmt, cond: Optional[ast.Expr],
+                  step: Optional[ast.Stmt]) -> Tuple[str, ...]:
+        """Every name a loop's fixpoint can read, write or declare.
+
+        A pinned ``foreach`` variable the body never mentions keeps its
+        entry interval, so it needs no place here.
+        """
+        names = self._loop_names.get(id(body))
+        if names is None:
+            found: Set[str] = set()
+            for node in (body, cond, step):
+                found |= ast.mentioned_names(node)
+            for stmt in (body, step):
+                for s in ast.walk_stmts(stmt):
+                    if isinstance(s, ast.VarDecl):
+                        found.add(s.name)
+                    elif isinstance(s, ast.Foreach):
+                        found.add(s.var)
+            names = self._loop_names[id(body)] = tuple(sorted(found))
+        return names
+
+    def _iterate(self, body: ast.Stmt, env: Env, facts: Facts,
+                 cond: Optional[ast.Expr], step: Optional[ast.Stmt]) -> Env:
+        """One trip: refine by the condition, run the body, then the step."""
+        body_env, body_facts = self.refine(env, facts, cond, True)
+        out = self._stmt(body, body_env, body_facts)
+        return self._stmt(step, out, body_facts)
+
+    def _fixpoint(self, body: ast.Stmt, env: Env, facts: Facts,
+                  cond: Optional[ast.Expr], step: Optional[ast.Stmt],
+                  pinned: Tuple[str, ...]) -> Env:
+        """Bounded fixpoint with per-bound widening, then a recording pass.
+
+        ``pinned`` names (a ``foreach`` variable) keep their entry interval.
+        A non-recording caller gets the converged iteration's own output:
+        the recording pass would only repeat it.
+        """
         prev_record, self.record = self.record, False
+        pins = {name: env[name] for name in pinned}
         cur = dict(env)
-        cur.update(pinned)
         for _ in range(2):
-            body_env, body_facts = self.refine(cur, facts, cond, True)
-            out = self._stmt(body, body_env, body_facts)
-            if step is not None:
-                out = self._stmt(step, out, body_facts)
-            out.update(pinned)
+            out = self._iterate(body, cur, facts, cond, step)
             nxt = self._join_env(cur, out)
-            nxt.update(pinned)
+            nxt.update(pins)
             if nxt == cur:
+                if not prev_record:
+                    return self._join_env(cur, out)
                 break
             cur = nxt
         else:
             # Widen the bounds that are still moving.
-            body_env, body_facts = self.refine(cur, facts, cond, True)
-            out = self._stmt(body, body_env, body_facts)
-            if step is not None:
-                out = self._stmt(step, out, body_facts)
+            out = self._iterate(body, cur, facts, cond, step)
             widened: Env = {}
             for name in set(cur) | set(out):
-                if name in pinned:
-                    widened[name] = pinned[name]
+                if name in pins:
+                    widened[name] = pins[name]
                     continue
                 a = cur.get(name, Interval.top())
                 b = out.get(name, Interval.top())
-                j = self._join(a, b)
+                j = join(a, b)
                 # Per-bound widening: keep exactly the candidates of `cur`
                 # that survived the join (they still bound the next
                 # iteration); drop the ones that moved.
@@ -568,23 +594,14 @@ class IntervalAnalysis:
                     tuple(hi for hi in a.his if hi in j.his))
             cur = widened
         self.record = prev_record
-        body_env, body_facts = self.refine(cur, facts, cond, True)
-        final = self._stmt(body, body_env, body_facts)
-        if step is not None:
-            final = self._stmt(step, final, body_facts)
-        return self._join_env(cur, final)
+        return self._join_env(cur, self._iterate(body, cur, facts, cond, step))
 
     # -- environment lattice -------------------------------------------------
-    @staticmethod
-    def _join(a: Interval, b: Interval) -> Interval:
-        return join(a, b)
-
     @staticmethod
     def _join_env(a: Env, b: Env) -> Env:
         out: Env = {}
         for name in set(a) | set(b):
-            out[name] = join(a.get(name, Interval.top()),
-                             b.get(name, Interval.top()))
+            out[name] = join(a.get(name, _TOP), b.get(name, _TOP))
         return out
 
 

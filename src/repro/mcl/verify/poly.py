@@ -23,11 +23,11 @@ size parameters), which justifies the sufficient non-negativity test
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 from ..mcpl import ast
 
-__all__ = ["Poly", "expr_to_poly", "ATOM_PREFIX"]
+__all__ = ["Poly", "Coeff", "expr_to_poly", "ATOM_PREFIX"]
 
 #: prefix marking opaque atoms (non-polynomial subexpressions)
 ATOM_PREFIX = "@"
@@ -35,38 +35,61 @@ ATOM_PREFIX = "@"
 #: a monomial is a sorted tuple of symbol names (with repetition for powers)
 Monomial = Tuple[str, ...]
 
+#: a coefficient: a plain ``int`` when integral, a ``Fraction`` otherwise
+Coeff = Union[int, Fraction]
+
+
+def _coeff(value: object) -> Coeff:
+    """The normal form of a coefficient: ``int`` whenever it is integral."""
+    if type(value) is int:
+        return value
+    f = Fraction(value)  # type: ignore[arg-type]
+    return f.numerator if f.denominator == 1 else f
+
+
+def _poly(terms: Dict[Monomial, Coeff]) -> "Poly":
+    """A Poly over terms already in normal form (no zeros, int if integral)."""
+    p = object.__new__(Poly)
+    p.terms = terms
+    return p
+
 
 class Poly:
-    """An immutable polynomial: ``{monomial: coefficient}``."""
+    """An immutable polynomial: ``{monomial: coefficient}``.
+
+    Coefficients are kept in normal form: zeros are dropped and integral
+    values are plain ``int`` (``Fraction`` only arises from division by a
+    constant and from float literals).  ``Fraction(3) == 3`` with equal
+    hashes and equal ``str``, so equality, hashing and ``repr`` do not
+    depend on how a coefficient was computed.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Optional[Dict[Monomial, Fraction]] = None):
-        clean: Dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff != 0:
-                    clean[mono] = Fraction(coeff)
-        self.terms = clean
+    def __init__(self, terms: Optional[Dict[Monomial, object]] = None):
+        self.terms: Dict[Monomial, Coeff] = {
+            mono: _coeff(coeff) for mono, coeff in (terms or {}).items()
+            if coeff != 0}
 
     # -- constructors -------------------------------------------------------
     @staticmethod
     def const(value: object) -> "Poly":
-        return Poly({(): Fraction(value)})  # type: ignore[arg-type]
+        c = _coeff(value)
+        return _poly({(): c} if c else {})
 
     @staticmethod
     def var(name: str) -> "Poly":
-        return Poly({(name,): Fraction(1)})
+        return _poly({(name,): 1})
 
     # -- queries ------------------------------------------------------------
     @property
     def is_constant(self) -> bool:
         return all(mono == () for mono in self.terms)
 
-    def constant_value(self) -> Optional[Fraction]:
+    def constant_value(self) -> Optional[Coeff]:
         """The value if constant, else ``None``."""
         if self.is_constant:
-            return self.terms.get((), Fraction(0))
+            return self.terms.get((), 0)
         return None
 
     def symbols(self) -> Iterable[str]:
@@ -82,7 +105,7 @@ class Poly:
         ``coefficient_of('w')`` on ``w * chunk + chunk`` is ``chunk``.
         Raises :class:`ValueError` if ``name`` appears with degree >= 2.
         """
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for mono, coeff in self.terms.items():
             k = mono.count(name)
             if k == 0:
@@ -90,12 +113,12 @@ class Poly:
             if k > 1:
                 raise ValueError(f"degree of {name!r} exceeds 1 in {self}")
             rest = tuple(s for s in mono if s != name)
-            out[rest] = out.get(rest, Fraction(0)) + coeff
+            out[rest] = out.get(rest, 0) + coeff
         return Poly(out)
 
     def drop(self, name: str) -> "Poly":
         """The terms not mentioning ``name``."""
-        return Poly({m: c for m, c in self.terms.items() if name not in m})
+        return _poly({m: c for m, c in self.terms.items() if name not in m})
 
     def is_nonnegative(self) -> bool:
         """Sufficient test: every coefficient >= 0 (symbols are >= 0)."""
@@ -108,38 +131,42 @@ class Poly:
         return not self.terms
 
     # -- arithmetic ---------------------------------------------------------
-    def __add__(self, other: "Poly") -> "Poly":
+    def _plus(self, other: "Poly", sign: int) -> "Poly":
         out = dict(self.terms)
         for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) + coeff
-        return Poly(out)
+            c = out.get(mono, 0) + sign * coeff
+            if c:
+                out[mono] = c if type(c) is int else _coeff(c)
+            else:
+                del out[mono]
+        return _poly(out)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            out[mono] = out.get(mono, Fraction(0)) - coeff
-        return Poly(out)
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: "Poly") -> "Poly":
-        out: Dict[Monomial, Fraction] = {}
+        out: Dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(sorted(m1 + m2))
-                out[mono] = out.get(mono, Fraction(0)) + c1 * c2
+                out[mono] = out.get(mono, 0) + c1 * c2
         return Poly(out)
 
     def scale(self, factor: object) -> "Poly":
-        f = Fraction(factor)  # type: ignore[arg-type]
+        f = _coeff(factor)
         return Poly({m: c * f for m, c in self.terms.items()})
 
     def substitute(self, name: str, replacement: "Poly") -> "Poly":
         """Replace every occurrence of ``name`` (any degree) by a polynomial."""
         out = Poly()
         for mono, coeff in self.terms.items():
-            term = Poly({tuple(s for s in mono if s != name): coeff})
+            term = _poly({tuple(s for s in mono if s != name): coeff})
             for _ in range(mono.count(name)):
                 term = term * replacement
             out = out + term
@@ -217,10 +244,9 @@ def expr_to_poly(expr: ast.Expr,
             right = expr_to_poly(expr.right, subs)
             rc = right.constant_value()
             lc = left.constant_value()
-            if rc is not None and rc != 0 and lc is not None:
-                q = lc / rc
-                if q.denominator == 1:
-                    return Poly.const(q)
+            if rc is not None and rc != 0 and lc is not None \
+                    and lc % rc == 0:
+                return Poly.const(lc // rc)
         return _atom(expr)
     # Index loads, calls: opaque.
     return _atom(expr)

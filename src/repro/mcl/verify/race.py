@@ -45,7 +45,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from ..mcpl import ast
 from ..mcpl.semantics import KernelInfo
 from .findings import Finding
-from .poly import ATOM_PREFIX, Poly, expr_to_poly
+from .poly import ATOM_PREFIX, Coeff, Poly, expr_to_poly
 
 __all__ = ["check_races"]
 
@@ -636,8 +636,8 @@ class _RaceAnalysis:
         rest_q = q - Poly.var(u).scale(a)
 
         def split(r: Poly) -> Tuple[Poly, Poly]:
-            shared: Dict[Tuple[str, ...], Fraction] = {}
-            indep: Dict[Tuple[str, ...], Fraction] = {}
+            shared: Dict[Tuple[str, ...], Coeff] = {}
+            indep: Dict[Tuple[str, ...], Coeff] = {}
             for mono, coeff in r.terms.items():
                 if all(self._is_uniform(s, fid) for s in mono):
                     shared[mono] = coeff

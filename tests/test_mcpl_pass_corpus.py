@@ -15,9 +15,10 @@ over:
 * for every level below the kernel's own that ``translate`` reaches: the
   feedback, cost and OpenCL of the translated kernel.
 
-The verifier half is skipped for matmul's optimized versions, which take
-about a minute each; ``perfbench/golden_findings.json`` pins their findings,
-suppressed ones included.
+The verifier half is skipped for matmul's optimized versions, which took
+about a minute each when the corpus was recorded;
+``perfbench/golden_findings.json`` pins their findings, suppressed ones
+included, and ``tests/interval_corpus.json`` their interval records.
 
 Kernels are keyed by origin (app name or file), a hash of their source
 text and ``name@level``, so moving a literal within a file or adding new

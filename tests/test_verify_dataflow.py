@@ -7,11 +7,12 @@ chains, and the interval abstract interpretation.
 
 from fractions import Fraction
 
+from repro.mcl.mcpl import ast
 from repro.mcl.mcpl.parser import parse_kernel
 from repro.mcl.mcpl.semantics import analyze
 from repro.mcl.verify.cfg import build_cfg, def_use_chains, reaching_definitions
-from repro.mcl.verify.intervals import analyze_intervals
-from repro.mcl.verify.poly import Poly
+from repro.mcl.verify.intervals import _floordiv_hi, analyze_intervals
+from repro.mcl.verify.poly import Poly, expr_to_poly
 
 
 def info_of(source):
@@ -43,6 +44,43 @@ def test_poly_substitute_and_coefficient():
     assert p.coefficient_of("i").constant_value() == Fraction(1)
     q = p.substitute("i", Poly.const(5))
     assert (q - n.scale(2)).constant_value() == Fraction(5)
+
+
+def test_poly_integral_coefficients_are_ints():
+    three, six_halves = Poly.const(3), Poly.const(Fraction(6, 2))
+    assert three == six_halves
+    assert hash(three) == hash(six_halves)
+    assert repr(six_halves) == "3"
+    assert type(six_halves.constant_value()) is int
+    x = Poly.var("x")
+    halved = x.scale(2).scale(Fraction(1, 2))
+    assert halved == x and type(halved.terms[("x",)]) is int
+    assert repr(x.scale(Fraction(1, 2))) == "1/2*x"
+
+
+def test_poly_cancelling_sums_leave_no_zero_terms():
+    x, y = Poly.var("x"), Poly.var("y")
+    assert (x + y - x).terms == {("y",): 1}
+    assert ((x - y) * (x + y)).terms == {("x", "x"): 1, ("y", "y"): -1}
+    half = x.scale(Fraction(1, 2))
+    assert (half + half).terms == {("x",): 1}
+    assert type((half + half).terms[("x",)]) is int
+    assert (half - half).is_zero() and (x + (-x)).terms == {}
+
+
+def test_floordiv_bound_divides_constants_exactly():
+    assert _floordiv_hi(Poly.const(7), Poly.const(2)) == Poly.const(3)
+    assert _floordiv_hi(Poly.const(-7), Poly.const(2)) == Poly.const(-4)
+    assert _floordiv_hi(Poly.const(Fraction(7, 2)),
+                        Poly.const(Fraction(1, 2))) == Poly.const(7)
+    assert _floordiv_hi(Poly.var("n"), Poly.const(4)) \
+        == Poly.var("n").scale(Fraction(1, 4))
+    six_by_three = ast.Binary(op="/", left=ast.IntLit(value=6),
+                              right=ast.IntLit(value=3))
+    assert expr_to_poly(six_by_three) == Poly.const(2)
+    seven_by_two = ast.Binary(op="/", left=ast.IntLit(value=7),
+                              right=ast.IntLit(value=2))
+    assert not expr_to_poly(seven_by_two).is_constant   # an opaque atom
 
 
 def test_expr_to_poly_handles_nonlinear_atoms():
